@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Hot-path micro-benchmarks — the perf trajectory later PRs measure against.
 
-Times the three operations the profiling pass optimised (DNS cache
-get/put with telemetry, DNS wire-message encoding, certificate-chain
-validation) plus one full scan-campaign round, serial and sharded, and
-writes the results to ``BENCH_HOTPATH.json`` next to this file.
+Times two operations the profiling pass optimised (DNS cache get/put
+with telemetry, certificate-chain validation) plus one full
+scan-campaign round, serial and sharded, and writes the results to
+``BENCH_HOTPATH.json`` next to this file.
 
 The ``BASELINE`` constant records the same workloads measured on the
 tree *before* the hot-path pass (bound metric handles + memo caches)
@@ -31,8 +31,6 @@ import time
 from repro import telemetry
 from repro.core.parallel import ParallelConfig
 from repro.core.scan.campaign import ScanCampaign
-from repro.dnswire.builder import make_query, make_response
-from repro.dnswire.message import Message
 from repro.dnswire.names import DnsName
 from repro.dnswire.rdtypes import RRType
 from repro.dnswire.records import ResourceRecord
@@ -50,7 +48,6 @@ from repro.world.scenario import ScenarioConfig, build_scenario
 #: CI. The speedup_vs_baseline section of the JSON is current / these.
 BASELINE = {
     "cache": 224997.8,
-    "codec": 26500.7,
     "cert_validate": 233490.7,
     "campaign_round_serial_s": 1.031,
 }
@@ -101,25 +98,6 @@ def bench_cache() -> float:
         cache.put(names[0], RRType.A, records[names[0]], 0, now=1.0)
 
     return _best_ops_per_s(run, ops_per_call=len(names) + 2)
-
-
-# -- codec: wire-encoding one realistic response ---------------------------
-
-
-def bench_codec() -> float:
-    name = DnsName.from_text("probe.dnssec-test.example.com")
-    query = make_query(name, RRType.A, msg_id=4321)
-    response = make_response(
-        query,
-        answers=(ResourceRecord.a(name, "203.0.113.7", ttl=60),
-                 ResourceRecord.a(name, "203.0.113.8", ttl=60)),
-        authoritative=True)
-
-    def run():
-        query.encode()
-        response.encode()
-
-    return _best_ops_per_s(run, ops_per_call=2)
 
 
 # -- cert-validate: one trusted chain, one broken chain --------------------
@@ -178,14 +156,13 @@ def main(argv=None) -> int:
 
     current = {
         "cache": round(bench_cache(), 1),
-        "codec": round(bench_codec(), 1),
         "cert_validate": round(bench_cert_validate(), 1),
     }
     if not args.skip_campaign:
         current["campaign_round"] = bench_campaign_round(args.workers)
 
     speedup = {key: round(current[key] / BASELINE[key], 2)
-               for key in ("cache", "codec", "cert_validate")}
+               for key in ("cache", "cert_validate")}
     if "campaign_round" in current:
         serial_s = current["campaign_round"]["serial"]["seconds"]
         speedup["campaign_round_serial"] = round(
@@ -204,7 +181,7 @@ def main(argv=None) -> int:
         handle.write("\n")
 
     print(json.dumps(document, indent=2, sort_keys=True))
-    for key in ("cache", "codec", "cert_validate"):
+    for key in ("cache", "cert_validate"):
         if current[key] < BASELINE[key] * WARN_FRACTION:
             print(f"WARNING: {key} at {current[key]:.0f} ops/s is below "
                   f"{WARN_FRACTION:.0%} of the recorded baseline "

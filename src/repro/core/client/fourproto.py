@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.parallel import (
     ParallelConfig,
     Shard,
-    ShardOutcome,
     merge_outcomes,
 )
 from repro.core.client.performance import REQUIRED_UPTIME_S
@@ -198,7 +197,8 @@ class _FourProtoTask:
     require_uptime: bool = True
 
 
-def _fourproto_shard(task: _FourProtoTask) -> ShardOutcome:
+def _fourproto_shard(
+        task: _FourProtoTask) -> Tuple[List[ProtocolTiming], int]:
     from repro.core.scan.campaign import shard_scenario
     final_round = task.config.scan_rounds - 1
     scenario, network = shard_scenario(task.config, final_round, task.shard)
@@ -206,7 +206,7 @@ def _fourproto_shard(task: _FourProtoTask) -> ShardOutcome:
     points = list(scenario.iter_platform_points(
         task.platform, task.sample, task.shard.start, task.shard.stop))
     report = study.run(points, require_uptime=task.require_uptime)
-    return ShardOutcome(task.shard.index, (report.timings, report.fallbacks))
+    return report.timings, report.fallbacks
 
 
 class FourProtoStudy:

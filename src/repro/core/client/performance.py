@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.parallel import (
     ParallelConfig,
     Shard,
-    ShardOutcome,
     merge_outcomes,
 )
 from repro.dnswire.builder import make_query
@@ -169,7 +168,7 @@ class _PerfTask:
     target_name: str = "Cloudflare"
 
 
-def _perf_shard(task: _PerfTask) -> ShardOutcome:
+def _perf_shard(task: _PerfTask) -> List[EndpointTiming]:
     from repro.core.scan.campaign import shard_scenario
     final_round = task.config.scan_rounds - 1
     scenario, network = shard_scenario(task.config, final_round, task.shard)
@@ -182,7 +181,7 @@ def _perf_shard(task: _PerfTask) -> ShardOutcome:
         task.platform, task.sample, task.shard.start, task.shard.stop))
     report = study.run(points, queries=task.queries,
                        require_uptime=task.require_uptime)
-    return ShardOutcome(task.shard.index, report.timings)
+    return report.timings
 
 
 class PerformanceStudy:

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.parallel import (
     ParallelConfig,
     Shard,
-    ShardOutcome,
     merge_outcomes,
 )
 from repro.core.retry import TRANSIENT_KINDS, RetryPolicy
@@ -177,7 +176,7 @@ class _ReachTask:
     max_attempts: int = MAX_ATTEMPTS
 
 
-def _reach_shard(task: _ReachTask) -> ShardOutcome:
+def _reach_shard(task: _ReachTask) -> ReachabilityReport:
     from repro.core.scan.campaign import shard_scenario
     final_round = task.config.scan_rounds - 1
     scenario, network = shard_scenario(task.config, final_round, task.shard)
@@ -194,7 +193,7 @@ def _reach_shard(task: _ReachTask) -> ShardOutcome:
                            platform=task.platform, endpoints=len(points)):
         for point in points:
             study.measure_endpoint(point, report)
-    return ShardOutcome(task.shard.index, report)
+    return report
 
 
 class ReachabilityStudy:

@@ -20,7 +20,7 @@ execution & the determinism contract"):
 * **Isolated telemetry fragments.** Each shard runs against a fresh
   process-default registry/tracer pair (a pool worker reused across
   dispatches still holds the previous shard's — it must be reset) and
-  ships the pair back in its :class:`ShardOutcome`.
+  ships the pair back, wire-encoded, in its :class:`ShardOutcome`.
 * **Order-free merge.** Fragments are merged in shard-index order
   using the registry merge laws (counters add, gauges last-write by
   shard index, histograms add bucket-wise) and shard root spans are
@@ -29,9 +29,10 @@ execution & the determinism contract"):
 Worker functions handed to :func:`run_shards` must be **module-level
 callables taking one picklable payload** (scenario *configs* travel,
 never scenarios — live networks hold lambdas) and returning a picklable
-value. The in-process fallback runs the identical isolation wrapper, so
-``--workers 1`` is a real differential baseline, not a separate code
-path.
+value. Payloads are passed in shard order, so a payload's position is
+its shard index. The in-process fallback runs the identical isolation
+wrapper, so ``--workers 1`` is a real differential baseline, not a
+separate code path.
 
 Performance model (the reason this module exists at all):
 
@@ -41,11 +42,11 @@ Performance model (the reason this module exists at all):
   config (see ``core/scan/campaign.cached_scenario``), so after the
   first dispatch only (shard descriptor, round params) cross the
   boundary per dispatch — not a world, not a pool fork.
-* **Compact wire format.** Shard results return as flat tuples —
+* **Compact wire format.** Shard telemetry returns as flat tuples —
   registry rows of (kind, name, labels, algebraic state) and nested
   span tuples — instead of pickled ``MetricsRegistry``/``Span`` object
-  graphs. :func:`merge_outcomes` decodes them into the identical merge
-  the object-graph path performs, byte-for-byte.
+  graphs, on the pooled and the in-process path alike, so
+  :func:`merge_outcomes` has a single decode path.
 * **Adaptive shard sizing.** :meth:`ParallelConfig.dispatch` keeps
   workloads below ``min_fanout_items`` in-process — fan-out overhead
   can only ever be paid where it can win. The decision is a pure
@@ -65,6 +66,7 @@ import atexit
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -196,12 +198,6 @@ class ParallelConfig:
     #: clamped and counted. The differential suite turns this on to
     #: genuinely exercise 4/16-worker pools on small CI machines.
     oversubscribe: bool = False
-    #: Benchmark-only: route pooled dispatches through the historical
-    #: executor (a fresh fork pool per dispatch, pickled telemetry
-    #: object graphs). Pure scheduling — results are byte-identical —
-    #: kept so ``benchmarks/bench_parallel_campaign.py`` can measure
-    #: the persistent pool + wire format against the real baseline.
-    legacy_executor: bool = False
     #: Adaptive-dispatch decision log (appended by :meth:`schedule`,
     #: recorded in the RunManifest). Each entry is a pure function of
     #: (item count, threshold) — never of the worker count.
@@ -236,7 +232,7 @@ class ParallelConfig:
                                "in_process": in_process})
         return in_process
 
-    def dispatch(self, worker: Callable[[object], "ShardOutcome"],
+    def dispatch(self, worker: Callable[[object], object],
                  payloads: Sequence[object],
                  item_count: int) -> List["ShardOutcome"]:
         """Run the payloads under the adaptive policy.
@@ -252,9 +248,7 @@ class ParallelConfig:
             return run_shards(worker, payloads, workers=1)
         _DISPATCH.get("pool").inc()
         return run_shards(worker, payloads,
-                          workers=self.effective_workers(),
-                          reuse_pool=not self.legacy_executor,
-                          wire=not self.legacy_executor)
+                          workers=self.effective_workers())
 
     def manifest_execution(self) -> dict:
         """What the RunManifest records. Workers deliberately excluded —
@@ -277,33 +271,17 @@ class ParallelConfig:
 class ShardOutcome:
     """What one shard ships back to the merge step (all picklable).
 
-    Workers construct it with just (shard_index, value); the isolation
-    wrapper fills in the captured telemetry — as live objects on the
-    in-process path, as compact wire tuples (``registry_wire`` /
-    ``spans_wire``) when crossing the process boundary.
-    :func:`merge_outcomes` accepts either form and merges them
-    byte-identically.
+    ``value`` is the worker's return value; the isolation wrapper adds
+    the shard's captured telemetry as compact wire tuples.
     """
 
     shard_index: int
     value: object
-    registry: Optional[MetricsRegistry] = None
-    spans: List[Span] = field(default_factory=list)
-    registry_wire: Optional[tuple] = None
-    spans_wire: Optional[Tuple[tuple, ...]] = None
-
-    def encoded(self) -> "ShardOutcome":
-        """A copy carrying wire tuples instead of telemetry objects."""
-        return ShardOutcome(
-            shard_index=self.shard_index,
-            value=self.value,
-            registry_wire=(self.registry.to_wire()
-                           if self.registry is not None else None),
-            spans_wire=tuple(span.to_wire() for span in self.spans),
-        )
+    registry_wire: tuple
+    spans_wire: Tuple[tuple, ...]
 
 
-def _run_isolated(worker: Callable[[object], ShardOutcome],
+def _run_isolated(worker: Callable[[object], object], shard_index: int,
                   payload: object) -> ShardOutcome:
     """Run one shard against a fresh telemetry pair and capture it.
 
@@ -313,54 +291,9 @@ def _run_isolated(worker: Callable[[object], ShardOutcome],
     isolated fragments a worker would.
     """
     registry, tracer = telemetry.reset_registry()
-    outcome = worker(payload)
-    outcome.registry = registry
-    outcome.spans = list(tracer.roots)
-    return outcome
-
-
-# Worker-side caches (scenario worlds, keyed by config) register a
-# clearer here so the legacy benchmark baseline can reproduce the
-# historical executor, which had no caches: every shard task built its
-# world from scratch.
-_WORKER_CACHE_CLEARERS: List[Callable[[], None]] = []
-
-
-def register_worker_cache(clear: Callable[[], None]) -> None:
-    """Register a worker-side cache clearer (idempotent per callable)."""
-    if clear not in _WORKER_CACHE_CLEARERS:
-        _WORKER_CACHE_CLEARERS.append(clear)
-
-
-def clear_worker_caches() -> None:
-    for clear in _WORKER_CACHE_CLEARERS:
-        clear()
-
-
-class _IsolatedWorker:
-    """Picklable isolation wrapper for Pool.map.
-
-    ``wire=True`` (the default for pooled dispatch) returns the
-    compact-wire encoding so only flat tuples cross the process
-    boundary; ``wire=False`` ships the object graphs.
-    ``clear_caches=True`` additionally drops the worker-side world
-    caches before every task. Together they reproduce the historical
-    executor (fresh pool per dispatch, world rebuilt per shard, pickled
-    telemetry graphs) — kept as the measured legacy baseline for
-    ``benchmarks/bench_parallel_campaign.py``.
-    """
-
-    def __init__(self, worker: Callable[[object], ShardOutcome],
-                 wire: bool = True, clear_caches: bool = False):
-        self.worker = worker
-        self.wire = wire
-        self.clear_caches = clear_caches
-
-    def __call__(self, payload: object) -> ShardOutcome:
-        if self.clear_caches:
-            clear_worker_caches()
-        outcome = _run_isolated(self.worker, payload)
-        return outcome.encoded() if self.wire else outcome
+    value = worker(payload)
+    return ShardOutcome(shard_index, value, registry.to_wire(),
+                        tuple(span.to_wire() for span in tracer.roots))
 
 
 # -- persistent worker pool ---------------------------------------------------
@@ -406,14 +339,13 @@ def shutdown_worker_pool() -> None:
 atexit.register(shutdown_worker_pool)
 
 
-def run_shards(worker: Callable[[object], ShardOutcome],
+def run_shards(worker: Callable[[object], object],
                payloads: Sequence[object],
-               workers: int = 1,
-               *,
-               reuse_pool: bool = True,
-               wire: bool = True) -> List[ShardOutcome]:
+               workers: int = 1) -> List[ShardOutcome]:
     """Execute ``worker(payload)`` for every payload, preserving order.
 
+    Each value is paired with its payload's position, which is the
+    shard index because callers build payloads in plan order.
     ``workers <= 1`` (or a single payload) runs in-process — saving and
     restoring the caller's telemetry pair around the dispatch, on both
     the normal and the exception path, so a raising shard never leaks
@@ -421,12 +353,6 @@ def run_shards(worker: Callable[[object], ShardOutcome],
     over the persistent fork pool with chunksize 1; results come back
     in submission order regardless of completion order, so scheduling
     cannot reorder the merge.
-
-    ``reuse_pool=False`` forks a fresh pool for this one dispatch and
-    ``wire=False`` ships pickled telemetry object graphs instead of
-    wire tuples — together they reproduce the pre-persistent-pool
-    executor, kept only as the measured baseline in
-    ``benchmarks/bench_parallel_campaign.py``.
     """
     payloads = list(payloads)
     if not payloads:
@@ -435,21 +361,13 @@ def run_shards(worker: Callable[[object], ShardOutcome],
         saved_registry = telemetry.get_registry()
         saved_tracer = telemetry.get_tracer()
         try:
-            return [_run_isolated(worker, payload) for payload in payloads]
+            return [_run_isolated(worker, index, payload)
+                    for index, payload in enumerate(payloads)]
         finally:
             telemetry.install(saved_registry, saved_tracer)
-    if reuse_pool:
-        wrapper = _IsolatedWorker(worker, wire=wire)
-        pool = get_worker_pool(workers)
-        return pool.map(wrapper, payloads, chunksize=1)
-    # Legacy executor: a throwaway pool for this one dispatch whose
-    # children rebuild their worlds per task (the historical cost
-    # model — worker-side caches postdate it).
-    wrapper = _IsolatedWorker(worker, wire=wire, clear_caches=True)
-    context = multiprocessing.get_context("fork")
-    pool_size = min(int(workers), len(payloads))
-    with context.Pool(processes=pool_size) as pool:
-        return pool.map(wrapper, payloads, chunksize=1)
+    pool = get_worker_pool(workers)
+    return pool.starmap(partial(_run_isolated, worker), enumerate(payloads),
+                        chunksize=1)
 
 
 def merge_outcomes(outcomes: Sequence[ShardOutcome],
@@ -460,10 +378,8 @@ def merge_outcomes(outcomes: Sequence[ShardOutcome],
     Gauge fragments are stamped with their shard index first, so the
     gauge "last write" is defined by shard order rather than merge-call
     order. Shard root spans are adopted under the caller's active span
-    with a ``shard`` attribute. Fragments arriving as compact wire
-    tuples are decoded first; the decode path reconstructs the exact
-    registry/span state the object-graph path would merge, so the two
-    transports are byte-identical (pinned by
+    with a ``shard`` attribute. Fragments are decoded from their wire
+    tuples first (the codec round-trips are pinned by
     ``tests/test_parallel_wire.py``). Returns the shard values, ordered
     by shard index.
     """
@@ -472,17 +388,11 @@ def merge_outcomes(outcomes: Sequence[ShardOutcome],
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard_index)
     values: List[object] = []
     for outcome in ordered:
-        fragment = outcome.registry
-        if fragment is None and outcome.registry_wire is not None:
-            fragment = MetricsRegistry.from_wire(outcome.registry_wire)
-        spans = outcome.spans
-        if not spans and outcome.spans_wire:
-            spans = [Span.from_wire(wire_span)
-                     for wire_span in outcome.spans_wire]
-        if fragment is not None:
-            fragment.stamp_origin(outcome.shard_index)
-            registry.merge(fragment)
-        for span in spans:
+        fragment = MetricsRegistry.from_wire(outcome.registry_wire)
+        fragment.stamp_origin(outcome.shard_index)
+        registry.merge(fragment)
+        for wire_span in outcome.spans_wire:
+            span = Span.from_wire(wire_span)
             span.attrs.setdefault("shard", str(outcome.shard_index))
             tracer.attach(span)
         values.append(outcome.value)

@@ -14,9 +14,7 @@ from typing import List, Optional, Tuple
 from repro.core.parallel import (
     ParallelConfig,
     Shard,
-    ShardOutcome,
     merge_outcomes,
-    register_worker_cache,
 )
 from repro.core.scan.doh_scan import DohDiscovery, DohScanRecord
 from repro.core.scan.dot_scan import DotDiscovery, DotScanRecord, SweepStats
@@ -26,7 +24,7 @@ from repro.core.scan.providers import (
     group_into_providers,
     provider_stats,
 )
-from repro.core.scan.zmap import ZmapScanner, merge_sweeps
+from repro.core.scan.zmap import SweepResult, ZmapScanner, merge_sweeps
 from repro.errors import CampaignError
 from repro.netsim.clock import format_date
 from repro.netsim.rand import SeededRng
@@ -217,9 +215,8 @@ def prime_scenario(scenario: Scenario) -> None:
     inherits the built world — certificate-chain memos included — via
     fork copy-on-write. Pure optimisation: scenario building is a
     deterministic function of the config, so a primed and a
-    worker-built scenario are interchangeable (the legacy-vs-persistent
-    byte-equality check in ``benchmarks/bench_parallel_campaign.py``
-    crosses the two).
+    worker-built scenario are interchangeable (a pool forked before a
+    config was primed builds that scenario itself).
     """
     key = _config_key(scenario.config)
     if _SCENARIO_CACHE.get(key) is not scenario:
@@ -228,9 +225,6 @@ def prime_scenario(scenario: Scenario) -> None:
             _SCENARIO_CACHE.popitem(last=False)
     else:
         _SCENARIO_CACHE.move_to_end(key)
-
-
-register_worker_cache(_SCENARIO_CACHE.clear)
 
 
 def shard_scenario(config: ScenarioConfig, round_index: int, shard: Shard,
@@ -268,7 +262,7 @@ def shard_scenario(config: ScenarioConfig, round_index: int, shard: Shard,
     return scenario, network
 
 
-def _sweep_shard(task: _SweepTask) -> ShardOutcome:
+def _sweep_shard(task: _SweepTask) -> SweepResult:
     # Sweeps are read-only over the host registry, so every sweep shard
     # shares the worker's pristine per-round network.
     scenario, network = shard_scenario(task.config, task.round_index,
@@ -277,11 +271,10 @@ def _sweep_shard(task: _SweepTask) -> ShardOutcome:
     scanner = ZmapScanner(
         network, campaign_rng.fork(f"zmap-{task.round_index}"),
         retry_policy=scenario.retry_policy(op="scan.zmap"))
-    fragment = scanner.sweep(task.port, task.round_index, shard=task.shard)
-    return ShardOutcome(task.shard.index, fragment)
+    return scanner.sweep(task.port, task.round_index, shard=task.shard)
 
 
-def _probe_shard(task: _ProbeTask) -> ShardOutcome:
+def _probe_shard(task: _ProbeTask) -> List[DotScanRecord]:
     # DoT probing mutates its targets (clock advances, backend rng), so
     # each shard gets a fresh partial world holding just its addresses —
     # every host builds from its own stateless rng fork, so the partial
@@ -298,12 +291,11 @@ def _probe_shard(task: _ProbeTask) -> ShardOutcome:
         scenario.trust_store, scenario.probe_origin,
         scenario.expected_probe_answer(),
         retry_policy=scenario.retry_policy(op="dot.probe"))
-    records = discovery.probe_all(list(task.addresses), task.round_index,
-                                  base_index=task.base_index)
-    return ShardOutcome(task.shard.index, records)
+    return discovery.probe_all(list(task.addresses), task.round_index,
+                               base_index=task.base_index)
 
 
-def _doh_shard(task: _DohTask) -> ShardOutcome:
+def _doh_shard(task: _DohTask) -> List[DohScanRecord]:
     final_round = task.config.scan_rounds - 1
     # DoH candidates only ever reach the providers' DoH fronts and the
     # self-built resolver (lookalike/noise hosts have no bootstrap A
@@ -319,8 +311,7 @@ def _doh_shard(task: _DohTask) -> ShardOutcome:
         scenario.expected_probe_answer(),
         public_list=scenario.public_doh_list(),
         retry_policy=scenario.retry_policy(op="doh.probe"))
-    records = discovery.probe_many(list(task.urls))
-    return ShardOutcome(task.shard.index, records)
+    return discovery.probe_many(list(task.urls))
 
 
 class ScanCampaign:

@@ -125,7 +125,7 @@ class Message:
         from repro.dnswire.edns import PaddingOption
         if self.opt is not None:
             # Padding replaces any existing padding option, so the
-            # baseline is this exact message — whose encoding is cached.
+            # baseline is this exact message.
             base_length = len(self.encode())
             opt = self.opt
         else:
@@ -136,19 +136,6 @@ class Message:
         return replace(self, opt=padded_opt)
 
     def encode(self, compress: bool = True) -> bytes:
-        # Message and everything it contains are frozen, so the wire
-        # form is a pure function of the instance: cache it per
-        # compression mode. The cache dict lives in __dict__ (set via
-        # object.__setattr__ to bypass the frozen guard) and is invisible
-        # to dataclass eq/repr/replace, which only consider fields.
-        cache = self.__dict__.get("_wire_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_wire_cache", cache)
-        else:
-            wire = cache.get(compress)
-            if wire is not None:
-                return wire
         writer = WireWriter(enable_compression=compress)
         flag_bits = self.header.flags.to_bits()
         flag_bits |= (self.header.opcode & 0xF) << 11
@@ -165,9 +152,7 @@ class Message:
             record.encode(writer)
         if self.opt is not None:
             self.opt.encode(writer)
-        wire = writer.getvalue()
-        cache[compress] = wire
-        return wire
+        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":

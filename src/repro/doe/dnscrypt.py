@@ -67,8 +67,13 @@ def unseal(key: ProviderKey, payload: bytes) -> bytes:
     """Reverse :func:`seal`; rejects envelopes under a different key."""
     if payload[:4] != _MAGIC:
         raise WireFormatError("not a DNSCrypt envelope")
+    if len(payload) < 5:
+        raise WireFormatError("truncated DNSCrypt envelope")
     key_length = payload[4]
-    sealed_key = payload[5:5 + key_length].decode()
+    try:
+        sealed_key = payload[5:5 + key_length].decode()
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"bad DNSCrypt key header: {exc}") from exc
     if sealed_key != key.public_key:
         raise WireFormatError("DNSCrypt key mismatch")
     return payload[5 + key_length:]

@@ -235,25 +235,37 @@ def message_from_json(body: bytes, query: Message) -> Message:
         parsed = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireFormatError(f"bad JSON DNS response: {exc}") from exc
+    if not isinstance(parsed, dict):
+        raise WireFormatError(
+            f"JSON DNS response is not an object: {type(parsed).__name__}")
+    entries = parsed.get("Answer", [])
+    if not isinstance(entries, list):
+        raise WireFormatError("JSON DNS Answer is not a list")
     answers = []
-    for entry in parsed.get("Answer", ()):
+    for entry in entries:
+        name_text = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name_text, str):
+            raise WireFormatError(f"bad JSON answer entry: {entry!r}")
         try:
-            name = DnsName.from_text(entry["name"])
+            name = DnsName.from_text(name_text)
             rrtype = int(entry["type"])
             ttl = int(entry.get("TTL", 0))
             data = str(entry.get("data", ""))
-        except (KeyError, ValueError, TypeError) as exc:
+            if rrtype == RRType.A:
+                rdata = AData(data)
+            elif rrtype == RRType.AAAA:
+                rdata = AaaaData(data)
+            elif rrtype == RRType.CNAME:
+                rdata = CnameData(DnsName.from_text(data))
+            else:
+                rdata = TxtData.from_text(data)
+                rrtype = RRType.TXT
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise WireFormatError(f"bad JSON answer entry: {exc}") from exc
-        if rrtype == RRType.A:
-            rdata = AData(data)
-        elif rrtype == RRType.AAAA:
-            rdata = AaaaData(data)
-        elif rrtype == RRType.CNAME:
-            rdata = CnameData(DnsName.from_text(data))
-        else:
-            rdata = TxtData.from_text(data)
-            rrtype = RRType.TXT
         answers.append(ResourceRecord(name, rrtype, RRClass.IN, ttl,
                                       rdata))
-    rcode = int(parsed.get("Status", 0))
+    try:
+        rcode = int(parsed.get("Status", 0))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise WireFormatError(f"bad JSON DNS Status: {exc}") from exc
     return make_response(query, answers=answers, rcode=rcode)

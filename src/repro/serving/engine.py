@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.parallel import (
     ParallelConfig,
     Shard,
-    ShardOutcome,
     merge_outcomes,
 )
 from repro.netsim.rand import SeededRng
@@ -397,7 +396,7 @@ def merge_reports(spec: WorkloadSpec,
     return merged
 
 
-def _serving_shard(task: _ServingTask) -> ShardOutcome:
+def _serving_shard(task: _ServingTask) -> tuple:
     world = ServingWorld.build(task.world_config)
     engine = ServingEngine(world, config=task.config)
     try:
@@ -406,7 +405,7 @@ def _serving_shard(task: _ServingTask) -> ShardOutcome:
                                           task.shard.stop))
     finally:
         engine.close()
-    return ShardOutcome(task.shard.index, report_to_wire(report))
+    return report_to_wire(report)
 
 
 def run_sharded(world_config: ServingWorldConfig, spec: WorkloadSpec,

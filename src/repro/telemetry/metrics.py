@@ -262,7 +262,7 @@ class Histogram:
     def to_wire_payload(self) -> tuple:
         # Floats travel verbatim (no rounding): decode must reconstruct
         # the exact histogram state so merged snapshots stay
-        # byte-identical to the object-graph merge path.
+        # byte-identical to merging the live registry.
         return (self.count, self.sum, self.min, self.max,
                 tuple(sorted(self._buckets.items())))
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scan import ScanCampaign
 from repro.core.scan.churn import (
@@ -12,6 +14,7 @@ from repro.core.scan.churn import (
 )
 from repro.dnswire import DnsName, Rcode, RRType, make_query
 from repro.doe import DohClient, DohMethod, FailureKind
+from repro.doe.dnscrypt import ProviderKey, unseal
 from repro.doe.doh import message_from_json
 from repro.errors import WireFormatError
 from repro.httpsim import HttpRequest
@@ -134,6 +137,56 @@ class TestJsonClient:
         with pytest.raises(WireFormatError):
             message_from_json(json.dumps(
                 {"Answer": [{"type": "x"}]}).encode(), query)
+
+
+    @pytest.mark.parametrize("body", [
+        b"[]", b"null", b"5", b'"s"', b'{"Answer": 5}',
+        b'{"Status": "x"}', b'{"Status": 1e999}', b'{"Answer": [5]}',
+        b'{"Answer": [{"name": 5, "type": 1}]}',
+        b'{"Answer": [{"name": "a.", "type": 1e999}]}',
+        b'{"Answer": [{"name": "a.", "type": 16, "data": "\\ud800"}]}',
+    ])
+    def test_message_from_json_rejects_malformed_shapes(self, body):
+        """Well-formed JSON of the wrong shape raises the typed error,
+        never AttributeError/TypeError/ValueError."""
+        with pytest.raises(WireFormatError):
+            message_from_json(body, make_query(WWW, msg_id=8))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(
+                          st.sampled_from(["Status", "Answer", "name",
+                                           "type", "TTL", "data"]),
+                          children, max_size=4)),
+    max_leaves=12)
+
+
+class TestMalformedInputProperty:
+    """Outside input either parses or raises WireFormatError."""
+
+    @staticmethod
+    def _value_or_typed_error(parse, payload):
+        try:
+            parse(payload)
+        except WireFormatError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_unseal_arbitrary_bytes(self, payload):
+        self._value_or_typed_error(
+            lambda data: unseal(ProviderKey("p", "k1"), data), payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | _JSON_VALUES.map(
+        lambda value: json.dumps(value).encode()))
+    def test_message_from_json_arbitrary_bytes(self, body):
+        query = make_query(WWW, msg_id=9)
+        self._value_or_typed_error(
+            lambda data: message_from_json(data, query), body)
 
 
 class TestChurn:

@@ -2,8 +2,7 @@
 
 Covers the executor mechanics under the sharded determinism contract:
 
-* the wire codec round-trips registries and span trees losslessly, and
-  wire-transported fragments merge byte-identically to object graphs;
+* the wire codec round-trips registries and span trees losslessly;
 * the in-process fallback restores the caller's telemetry pair even
   when a shard raises (regression: a raising shard used to be able to
   leak its isolated registry into the caller);
@@ -28,7 +27,6 @@ from repro.analysis import tables
 from repro.core.parallel import (
     DEFAULT_IN_PROCESS_THRESHOLD,
     ParallelConfig,
-    ShardOutcome,
     merge_outcomes,
     run_shards,
     shutdown_worker_pool,
@@ -98,30 +96,30 @@ class TestWireCodec:
         assert decoded.sim_ms == root.sim_ms
         assert [child.name for child in decoded.children] == ["inner"]
 
-    def test_wire_and_object_fragments_merge_identically(self):
+
+class TestShardTransport:
+    def test_outcomes_carry_wire_telemetry_in_shard_order(self):
+        """Workers return plain values; each outcome pairs it with its
+        payload position and wire-encoded telemetry, and the merge
+        decodes the fragments in shard order."""
         def worker(payload):
-            registry = telemetry.get_registry()
-            registry.inc("shard.work", payload + 1)
-            registry.observe("shard.ms", payload * 1.5)
-            with telemetry.get_tracer().span("shard.op",
-                                             clock=lambda: 0.0):
+            telemetry.get_registry().inc("shard.work", payload + 1)
+            with telemetry.get_tracer().span("shard.op", clock=lambda: 0.0):
                 pass
-            return ShardOutcome(payload, payload * 10)
+            return payload * 10
 
-        def merged_json(encode):
-            saved = (telemetry.get_registry(), telemetry.get_tracer())
-            try:
-                outcomes = run_shards(worker, [0, 1, 2], workers=1)
-                if encode:
-                    outcomes = [outcome.encoded() for outcome in outcomes]
-                registry, tracer = telemetry.reset_registry()
-                values = merge_outcomes(outcomes, registry, tracer)
-                assert values == [0, 10, 20]
-                return telemetry.to_json(registry, tracer)
-            finally:
-                telemetry.install(*saved)
-
-        assert merged_json(encode=False) == merged_json(encode=True)
+        saved = (telemetry.get_registry(), telemetry.get_tracer())
+        try:
+            outcomes = run_shards(worker, [0, 1, 2], workers=1)
+            assert [outcome.shard_index for outcome in outcomes] == [0, 1, 2]
+            registry, tracer = telemetry.reset_registry()
+            values = merge_outcomes(outcomes[::-1], registry, tracer)
+        finally:
+            telemetry.install(*saved)
+        assert values == [0, 10, 20]
+        assert registry.value("shard.work") == 6
+        assert [span.attrs["shard"] for span in tracer.roots] == [
+            "0", "1", "2"]
 
 
 class TestInProcessIsolation:
@@ -180,7 +178,7 @@ class TestAdaptiveDispatch:
                                 oversubscribe=True)
 
         def worker(payload):
-            return ShardOutcome(payload, os.getpid())
+            return os.getpid()
 
         outcomes = config.dispatch(worker, [0, 1], item_count=10)
         assert {outcome.value for outcome in outcomes} == {os.getpid()}

@@ -336,6 +336,20 @@ class TestAlternativeProtocols:
         with pytest.raises(WireFormatError):
             unseal(ProviderKey("p", "k1"), b"not an envelope")
 
+    @pytest.mark.parametrize("payload", [b"DNSC", b"DNSC\x05\xff\xfe"])
+    def test_unseal_rejects_malformed_envelopes(self, payload):
+        with pytest.raises(WireFormatError):
+            unseal(ProviderKey("p", "k1"), payload)
+
+    def test_service_rejects_bare_envelope(self, dnscrypt_world, rng):
+        """A 4-byte ``DNSC`` datagram fails with the typed error the
+        client maps to a protocol failure, not an IndexError."""
+        from repro.netsim.transport import UdpExchange
+        network, env, _ = dnscrypt_world
+        with pytest.raises(WireFormatError):
+            UdpExchange.exchange(network, env, "6.6.6.6", 443, b"DNSC",
+                                 rng.fork("raw"))
+
     def test_dnscrypt_query(self, dnscrypt_world, rng):
         network, env, key = dnscrypt_world
         client = DnsCryptClient(network, rng.fork("c"))
